@@ -51,12 +51,13 @@ bench-kernel:
 	$(GO) test ./internal/xgb/ -run NONE -benchmem -bench 'BenchmarkKernel'
 
 # Short coverage-guided fuzzing of the WAL frame decoder, the trajectory
-# codecs, and the binary upload/session wire codec (native go fuzzing;
-# corpora live in testdata/fuzz/).
+# codecs, the binary upload/session wire codec, and the server's WAL
+# payload codec (native go fuzzing; corpora live in testdata/fuzz/).
 fuzz-short:
 	$(GO) test ./internal/wal/ -run NONE -fuzz FuzzFrameDecode -fuzztime 20s
 	$(GO) test ./internal/trajectory/ -run NONE -fuzz FuzzTrajectoryCodec -fuzztime 20s
 	$(GO) test ./internal/server/ -run NONE -fuzz FuzzBinaryCodec -fuzztime 20s
+	$(GO) test ./internal/server/ -run NONE -fuzz FuzzWALPayload -fuzztime 20s
 	$(GO) test ./internal/cluster/ -run NONE -fuzz FuzzClusterCodec -fuzztime 20s
 
 # Crash-point exploration plus the wedge-mid-workload breaker cycle:

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trajforge/internal/binfmt"
 	"trajforge/internal/resilience"
 )
 
@@ -175,7 +176,7 @@ func (nc *nodeClient) ackCallLocked(msg any) (*Ack, error) {
 	}
 	ack, ok := resp.(*Ack)
 	if !ok {
-		return nil, fmt.Errorf("%w: %T where an ack was expected", ErrKind, resp)
+		return nil, fmt.Errorf("%w: %T where an ack was expected", binfmt.ErrKind, resp)
 	}
 	return ack, nil
 }

@@ -1,10 +1,11 @@
 // Shard-transport codec: the compact binary RPC frames the coordinator and
-// shard nodes exchange. The framing discipline is internal/server's wire
-// codec — fixed little-endian fields, u8/u16 length prefixes for strings,
-// exact IEEE-754 bits for every float — so a record or a confidence vector
-// crosses a node boundary without losing a single bit, and a verdict
-// computed against a remote tile is bit-identical to one computed against
-// the same tile in-process.
+// shard nodes exchange. Framing, field encodings and decode errors are
+// internal/binfmt's — fixed little-endian fields, u8/u16 length prefixes
+// for strings, exact IEEE-754 bits for every float — so a record or a
+// confidence vector crosses a node boundary without losing a single bit,
+// and a verdict computed against a remote tile is bit-identical to one
+// computed against the same tile in-process. Scans use the wifi.AppendScan
+// layout.
 //
 // Frame layout (little endian):
 //
@@ -34,11 +35,11 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 
+	"trajforge/internal/binfmt"
 	"trajforge/internal/geo"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/wifi"
@@ -78,22 +79,6 @@ const (
 	statusFrozen     byte = 3 // tile is frozen for migration (writes rejected)
 	statusFailed     byte = 4 // node-side failure (message in Msg)
 	statusExpired    byte = 5 // request deadline already expired; refused unworked
-)
-
-// Typed decode failures, distinguishable with errors.Is.
-var (
-	// ErrTruncated: the frame ends before a declared field.
-	ErrTruncated = errors.New("cluster: truncated frame")
-	// ErrOversized: a declared count cannot fit the frame's bytes, or the
-	// payload length disagrees with the body.
-	ErrOversized = errors.New("cluster: oversized frame")
-	// ErrVersion: the version byte is not one this node speaks.
-	ErrVersion = errors.New("cluster: unsupported frame version")
-	// ErrKind: the kind byte is unknown or wrong for the context.
-	ErrKind = errors.New("cluster: unexpected frame kind")
-	// ErrValue: a field holds a value with no wire meaning (an unsorted
-	// RSSI map, an out-of-range length, a non-canonical assignment).
-	ErrValue = errors.New("cluster: invalid frame value")
 )
 
 // Hello is the connection preamble the coordinator sends.
@@ -208,175 +193,30 @@ type StatsResp struct {
 	ExpiredRejects uint64
 }
 
-// reader is a bounds-checked cursor over one frame.
-type reader struct {
-	data []byte
-	off  int
-}
-
-func (r *reader) take(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.data) || r.off+n < 0 {
-		return nil, fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrTruncated, n, r.off, len(r.data))
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *reader) u8() (byte, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *reader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (r *reader) f64() (float64, error) {
-	v, err := r.u64()
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(v), nil
-}
-
-// str16 reads a u16-length-prefixed string.
-func (r *reader) str16() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// str8 reads a u8-length-prefixed string.
-func (r *reader) str8() (string, error) {
-	n, err := r.u8()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func (r *reader) tile() ([2]int, error) {
-	x, err := r.u32()
-	if err != nil {
-		return [2]int{}, err
-	}
-	y, err := r.u32()
-	if err != nil {
-		return [2]int{}, err
-	}
-	return [2]int{int(int32(x)), int(int32(y))}, nil
-}
-
-func (r *reader) done() error {
-	if r.off != len(r.data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrOversized, len(r.data)-r.off)
-	}
-	return nil
-}
-
-// header parses the three-field frame header, returning the kind and the
-// payload cursor.
-func header(data []byte) (byte, *reader, error) {
-	r := &reader{data: data}
-	ver, err := r.u8()
-	if err != nil {
-		return 0, nil, err
-	}
-	if ver != codecVersion {
-		return 0, nil, fmt.Errorf("%w: got version %d, speak %d", ErrVersion, ver, codecVersion)
-	}
-	kind, err := r.u8()
-	if err != nil {
-		return 0, nil, err
-	}
-	plen, err := r.u32()
-	if err != nil {
-		return 0, nil, err
-	}
-	rest := len(data) - r.off
-	if int64(plen) > int64(rest) {
-		return 0, nil, fmt.Errorf("%w: header declares %d payload bytes, %d present", ErrTruncated, plen, rest)
-	}
-	if int(plen) < rest {
-		return 0, nil, fmt.Errorf("%w: header declares %d payload bytes, %d present", ErrOversized, plen, rest)
-	}
-	return kind, r, nil
-}
-
-// --- encoder helpers ---
-
-func appendStr16(buf []byte, s string) ([]byte, error) {
-	if len(s) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: string of %d bytes", ErrValue, len(s))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...), nil
-}
-
-func appendStr8(buf []byte, s string) ([]byte, error) {
-	if len(s) > math.MaxUint8 {
-		return nil, fmt.Errorf("%w: string of %d bytes", ErrValue, len(s))
-	}
-	buf = append(buf, byte(len(s)))
-	return append(buf, s...), nil
+func readTile(r *binfmt.Reader) [2]int {
+	return [2]int{int(int32(r.U32())), int(int32(r.U32()))}
 }
 
 func appendTile(buf []byte, t [2]int) ([]byte, error) {
 	if t[0] < math.MinInt32 || t[0] > math.MaxInt32 || t[1] < math.MinInt32 || t[1] > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: tile %v outside int32", ErrValue, t)
+		return nil, fmt.Errorf("%w: tile %v outside int32", binfmt.ErrValue, t)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(t[0])))
 	return binary.LittleEndian.AppendUint32(buf, uint32(int32(t[1]))), nil
 }
 
-// newFrame starts a frame of the given kind with the 6-byte header slot.
+// newFrame starts a frame of the given kind.
 func newFrame(kind byte, sizeHint int) []byte {
-	buf := make([]byte, 6, 6+sizeHint)
-	buf[0], buf[1] = codecVersion, kind
-	return buf
+	return binfmt.NewFrame(codecVersion, kind, sizeHint)
 }
 
-// finishFrame stamps the payload length into the reserved header slot.
+// finishFrame stamps the payload length, refusing frames the transport
+// would not read.
 func finishFrame(buf []byte) ([]byte, error) {
 	if len(buf) > maxFrameBytes {
-		return nil, fmt.Errorf("%w: frame of %d bytes exceeds %d", ErrValue, len(buf), maxFrameBytes)
+		return nil, fmt.Errorf("%w: frame of %d bytes exceeds %d", binfmt.ErrValue, len(buf), maxFrameBytes)
 	}
-	binary.LittleEndian.PutUint32(buf[2:6], uint32(len(buf)-6))
-	return buf, nil
+	return binfmt.FinishFrame(buf), nil
 }
 
 // --- record / entry ---
@@ -387,7 +227,7 @@ func appendRecord(buf []byte, rec rssimap.Record) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Pos.X))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Pos.Y))
 	if len(rec.RSSI) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: record reports %d APs", ErrValue, len(rec.RSSI))
+		return nil, fmt.Errorf("%w: record reports %d APs", binfmt.ErrValue, len(rec.RSSI))
 	}
 	macs := make([]string, 0, len(rec.RSSI))
 	for mac := range rec.RSSI {
@@ -397,61 +237,58 @@ func appendRecord(buf []byte, rec rssimap.Record) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(macs)))
 	var err error
 	for _, mac := range macs {
-		if buf, err = appendStr8(buf, mac); err != nil {
+		if buf, err = binfmt.AppendStr8(buf, mac); err != nil {
 			return nil, err
 		}
 		rssi := rec.RSSI[mac]
-		if rssi < math.MinInt16 || rssi > math.MaxInt16 {
-			return nil, fmt.Errorf("%w: RSSI %d outside int16", ErrValue, rssi)
+		if err := binfmt.CheckI16(rssi); err != nil {
+			return nil, fmt.Errorf("RSSI: %w", err)
 		}
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(rssi)))
 	}
-	if buf, err = appendStr8(buf, rec.Contributor); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return binfmt.AppendStr8(buf, rec.Contributor)
 }
 
 // recMinBytes is the fixed per-record wire cost (pos + AP count +
 // contributor length byte).
 const recMinBytes = 8 + 8 + 2 + 1
 
-func decodeRecord(r *reader) (rssimap.Record, error) {
-	var rec rssimap.Record
-	x, err := r.f64()
-	if err != nil {
-		return rec, err
-	}
-	y, err := r.f64()
-	if err != nil {
-		return rec, err
-	}
-	n, err := r.u16()
-	if err != nil {
-		return rec, err
-	}
-	rec.Pos = geo.Point{X: x, Y: y}
+func decodeRecord(r *binfmt.Reader) rssimap.Record {
+	rec := rssimap.Record{Pos: geo.Point{X: r.F64(), Y: r.F64()}}
+	n := int(r.U16())
 	rec.RSSI = make(map[string]int, n)
 	prev := ""
-	for i := 0; i < int(n); i++ {
-		mac, err := r.str8()
-		if err != nil {
-			return rec, err
-		}
+	for i := 0; i < n; i++ {
+		mac := r.Str8()
 		if i > 0 && mac <= prev {
-			return rec, fmt.Errorf("%w: RSSI map not in strict MAC order (%q after %q)", ErrValue, mac, prev)
+			r.Fail(fmt.Errorf("%w: RSSI map not in strict MAC order (%q after %q)", binfmt.ErrValue, mac, prev))
 		}
 		prev = mac
-		rssi, err := r.u16()
-		if err != nil {
-			return rec, err
+		rec.RSSI[mac] = int(int16(r.U16()))
+	}
+	rec.Contributor = r.Str8()
+	return rec
+}
+
+// decodeRecords reads a u32 count and that many records.
+func decodeRecords(r *binfmt.Reader) []rssimap.Record {
+	recs := make([]rssimap.Record, r.Count(recMinBytes))
+	for i := range recs {
+		recs[i] = decodeRecord(r)
+	}
+	return recs
+}
+
+// appendRecords is decodeRecords' encoder.
+func appendRecords(buf []byte, recs []rssimap.Record) ([]byte, error) {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
+	var err error
+	for _, rec := range recs {
+		if buf, err = appendRecord(buf, rec); err != nil {
+			return nil, err
 		}
-		rec.RSSI[mac] = int(int16(rssi))
 	}
-	if rec.Contributor, err = r.str8(); err != nil {
-		return rec, err
-	}
-	return rec, nil
+	return buf, nil
 }
 
 // entryMinBytes is the fixed per-entry wire cost (tile + seq + record min).
@@ -466,32 +303,17 @@ func appendEntry(buf []byte, e Entry) ([]byte, error) {
 	return appendRecord(buf, e.Rec)
 }
 
-func decodeEntries(r *reader) ([]Entry, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int64(n)*entryMinBytes > int64(len(r.data)-r.off) {
-		return nil, fmt.Errorf("%w: claims %d entries in %d payload bytes", ErrOversized, n, len(r.data)-r.off)
-	}
-	entries := make([]Entry, n)
+func decodeEntries(r *binfmt.Reader) []Entry {
+	entries := make([]Entry, r.Count(entryMinBytes))
 	for i := range entries {
-		if entries[i].Tile, err = r.tile(); err != nil {
-			return nil, err
-		}
-		if entries[i].Seq, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if entries[i].Rec, err = decodeRecord(r); err != nil {
-			return nil, err
-		}
+		entries[i] = Entry{Tile: readTile(r), Seq: r.U64(), Rec: decodeRecord(r)}
 	}
-	return entries, nil
+	return entries
 }
 
 func appendEntries(buf []byte, entries []Entry) ([]byte, error) {
 	if len(entries) > math.MaxUint32 {
-		return nil, fmt.Errorf("%w: %d entries", ErrValue, len(entries))
+		return nil, fmt.Errorf("%w: %d entries", binfmt.ErrValue, len(entries))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
 	var err error
@@ -503,48 +325,7 @@ func appendEntries(buf []byte, entries []Entry) ([]byte, error) {
 	return buf, nil
 }
 
-// --- scan / feature config / confidences ---
-
-func appendScan(buf []byte, scan wifi.Scan) ([]byte, error) {
-	if len(scan) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: scan of %d observations", ErrValue, len(scan))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(scan)))
-	var err error
-	for _, obs := range scan {
-		if buf, err = appendStr8(buf, obs.MAC); err != nil {
-			return nil, err
-		}
-		if obs.RSSI < math.MinInt16 || obs.RSSI > math.MaxInt16 {
-			return nil, fmt.Errorf("%w: RSSI %d outside int16", ErrValue, obs.RSSI)
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(obs.RSSI)))
-	}
-	return buf, nil
-}
-
-func decodeScan(r *reader) (wifi.Scan, error) {
-	n, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	scan := make(wifi.Scan, 0, n)
-	for i := 0; i < int(n); i++ {
-		mac, err := r.str8()
-		if err != nil {
-			return nil, err
-		}
-		rssi, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		scan = append(scan, wifi.Observation{MAC: mac, RSSI: int(int16(rssi))})
-	}
-	return scan, nil
-}
+// --- feature config / confidences ---
 
 // Feature-config flag bits.
 const (
@@ -558,11 +339,11 @@ const (
 func appendFeatureConfig(buf []byte, cfg rssimap.FeatureConfig) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cfg.R))
 	if cfg.TopK < 0 || cfg.TopK > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: TopK %d outside uint16", ErrValue, cfg.TopK)
+		return nil, fmt.Errorf("%w: TopK %d outside uint16", binfmt.ErrValue, cfg.TopK)
 	}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(cfg.TopK))
-	if cfg.Tol < math.MinInt16 || cfg.Tol > math.MaxInt16 {
-		return nil, fmt.Errorf("%w: Tol %d outside int16", ErrValue, cfg.Tol)
+	if err := binfmt.CheckI16(int(cfg.Tol)); err != nil {
+		return nil, fmt.Errorf("Tol: %w", err)
 	}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(cfg.Tol)))
 	var flags byte
@@ -581,35 +362,21 @@ func appendFeatureConfig(buf []byte, cfg rssimap.FeatureConfig) ([]byte, error) 
 	return append(buf, flags), nil
 }
 
-func decodeFeatureConfig(r *reader) (rssimap.FeatureConfig, error) {
-	var cfg rssimap.FeatureConfig
-	rr, err := r.f64()
-	if err != nil {
-		return cfg, err
+func decodeFeatureConfig(r *binfmt.Reader) rssimap.FeatureConfig {
+	cfg := rssimap.FeatureConfig{
+		R:    r.F64(),
+		TopK: int(r.U16()),
+		Tol:  rssimap.Tolerance(int16(r.U16())),
 	}
-	topk, err := r.u16()
-	if err != nil {
-		return cfg, err
-	}
-	tol, err := r.u16()
-	if err != nil {
-		return cfg, err
-	}
-	flags, err := r.u8()
-	if err != nil {
-		return cfg, err
-	}
+	flags := r.U8()
 	if flags&^byte(cfgFlagsMask) != 0 {
-		return cfg, fmt.Errorf("%w: unknown feature-config flags %#x", ErrValue, flags)
+		r.Fail(fmt.Errorf("%w: unknown feature-config flags %#x", binfmt.ErrValue, flags))
 	}
-	cfg.R = rr
-	cfg.TopK = int(topk)
-	cfg.Tol = rssimap.Tolerance(int16(tol))
 	cfg.IncludeNum = flags&cfgIncludeNum != 0
 	cfg.IncludeResiduals = flags&cfgIncludeResiduals != 0
 	cfg.DisableTheta2 = flags&cfgDisableTheta2 != 0
 	cfg.IncludeSummary = flags&cfgIncludeSummary != 0
-	return cfg, nil
+	return cfg
 }
 
 // confMinBytes is the fixed per-confidence wire cost.
@@ -617,63 +384,43 @@ const confMinBytes = 1 + 8 + 4 + 8 + 4
 
 func appendConfs(buf []byte, confs []rssimap.PointConfidence) ([]byte, error) {
 	if len(confs) > math.MaxUint32 {
-		return nil, fmt.Errorf("%w: %d confidences", ErrValue, len(confs))
+		return nil, fmt.Errorf("%w: %d confidences", binfmt.ErrValue, len(confs))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(confs)))
 	var err error
 	for _, c := range confs {
-		if buf, err = appendStr8(buf, c.MAC); err != nil {
+		if buf, err = binfmt.AppendStr8(buf, c.MAC); err != nil {
 			return nil, err
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Phi))
 		if c.Num < 0 || int64(c.Num) > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: Num %d outside uint32", ErrValue, c.Num)
+			return nil, fmt.Errorf("%w: Num %d outside uint32", binfmt.ErrValue, c.Num)
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Num))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Residual))
 		if c.Heard < 0 || int64(c.Heard) > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: Heard %d outside uint32", ErrValue, c.Heard)
+			return nil, fmt.Errorf("%w: Heard %d outside uint32", binfmt.ErrValue, c.Heard)
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Heard))
 	}
 	return buf, nil
 }
 
-func decodeConfs(r *reader) ([]rssimap.PointConfidence, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int64(n)*confMinBytes > int64(len(r.data)-r.off) {
-		return nil, fmt.Errorf("%w: claims %d confidences in %d payload bytes", ErrOversized, n, len(r.data)-r.off)
-	}
-	confs := make([]rssimap.PointConfidence, n)
+func decodeConfs(r *binfmt.Reader) []rssimap.PointConfidence {
+	confs := make([]rssimap.PointConfidence, r.Count(confMinBytes))
 	for i := range confs {
-		if confs[i].MAC, err = r.str8(); err != nil {
-			return nil, err
-		}
-		if confs[i].Phi, err = r.f64(); err != nil {
-			return nil, err
-		}
-		num, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		confs[i].Num = int(num)
+		c := &confs[i]
+		c.MAC = r.Str8()
+		c.Phi = r.F64()
+		c.Num = int(r.U32())
 		// Cluster nodes never install contributor trust tables, so the
 		// trusted mass always equals the cardinality and is not carried on
 		// the wire.
-		confs[i].TrustNum = float64(num)
-		if confs[i].Residual, err = r.f64(); err != nil {
-			return nil, err
-		}
-		heard, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		confs[i].Heard = int(heard)
+		c.TrustNum = float64(c.Num)
+		c.Residual = r.F64()
+		c.Heard = int(r.U32())
 	}
-	return confs, nil
+	return confs
 }
 
 // --- assignment ---
@@ -687,7 +434,7 @@ const (
 // appendOverrideMap encodes one tile→node map in strict tile order.
 func appendOverrideMap(buf []byte, m map[[2]int]string) ([]byte, error) {
 	if len(m) > math.MaxUint32 {
-		return nil, fmt.Errorf("%w: %d overrides", ErrValue, len(m))
+		return nil, fmt.Errorf("%w: %d overrides", binfmt.ErrValue, len(m))
 	}
 	tiles := make([][2]int, 0, len(m))
 	for t := range m {
@@ -700,40 +447,27 @@ func appendOverrideMap(buf []byte, m map[[2]int]string) ([]byte, error) {
 		if buf, err = appendTile(buf, t); err != nil {
 			return nil, err
 		}
-		if buf, err = appendStr16(buf, m[t]); err != nil {
+		if buf, err = binfmt.AppendStr16(buf, m[t]); err != nil {
 			return nil, err
 		}
 	}
 	return buf, nil
 }
 
-func decodeOverrideMap(r *reader) (map[[2]int]string, error) {
-	no, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
+func decodeOverrideMap(r *binfmt.Reader) map[[2]int]string {
 	const overrideMinBytes = 8 + 2
-	if int64(no)*overrideMinBytes > int64(len(r.data)-r.off) {
-		return nil, fmt.Errorf("%w: claims %d overrides in %d payload bytes", ErrOversized, no, len(r.data)-r.off)
-	}
-	m := make(map[[2]int]string, no)
+	n := r.Count(overrideMinBytes)
+	m := make(map[[2]int]string, n)
 	var prev [2]int
-	for i := 0; i < int(no); i++ {
-		t, err := r.tile()
-		if err != nil {
-			return nil, err
-		}
+	for i := 0; i < n; i++ {
+		t := readTile(r)
 		if i > 0 && !tileLess(prev, t) {
-			return nil, fmt.Errorf("%w: overrides not in strict tile order (%v after %v)", ErrValue, t, prev)
+			r.Fail(fmt.Errorf("%w: overrides not in strict tile order (%v after %v)", binfmt.ErrValue, t, prev))
 		}
 		prev = t
-		id, err := r.str16()
-		if err != nil {
-			return nil, err
-		}
-		m[t] = id
+		m[t] = r.Str16()
 	}
-	return m, nil
+	return m
 }
 
 func appendAssignment(buf []byte, a Assignment) ([]byte, error) {
@@ -744,14 +478,14 @@ func appendAssignment(buf []byte, a Assignment) ([]byte, error) {
 	}
 	buf = append(buf, flags)
 	if len(a.Members) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: %d members", ErrValue, len(a.Members))
+		return nil, fmt.Errorf("%w: %d members", binfmt.ErrValue, len(a.Members))
 	}
 	members := append([]string(nil), a.Members...)
 	sort.Strings(members)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(members)))
 	var err error
 	for _, id := range members {
-		if buf, err = appendStr16(buf, id); err != nil {
+		if buf, err = binfmt.AppendStr16(buf, id); err != nil {
 			return nil, err
 		}
 	}
@@ -761,43 +495,25 @@ func appendAssignment(buf []byte, a Assignment) ([]byte, error) {
 	return appendOverrideMap(buf, a.FollowerOverrides)
 }
 
-func decodeAssignment(r *reader) (Assignment, error) {
-	var a Assignment
-	epoch, err := r.u64()
-	if err != nil {
-		return a, err
-	}
-	a.Epoch = epoch
-	flags, err := r.u8()
-	if err != nil {
-		return a, err
-	}
+func decodeAssignment(r *binfmt.Reader) Assignment {
+	a := Assignment{Epoch: r.U64()}
+	flags := r.U8()
 	if flags&^byte(assignFlagsMask) != 0 {
-		return a, fmt.Errorf("%w: unknown assignment flags %#x", ErrValue, flags)
+		r.Fail(fmt.Errorf("%w: unknown assignment flags %#x", binfmt.ErrValue, flags))
 	}
 	a.Replicate = flags&assignReplicate != 0
-	nm, err := r.u16()
-	if err != nil {
-		return a, err
-	}
-	a.Members = make([]string, 0, nm)
-	for i := 0; i < int(nm); i++ {
-		id, err := r.str16()
-		if err != nil {
-			return a, err
-		}
+	n := int(r.U16())
+	a.Members = make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		id := r.Str16()
 		if i > 0 && id <= a.Members[i-1] {
-			return a, fmt.Errorf("%w: members not in strict order (%q after %q)", ErrValue, id, a.Members[i-1])
+			r.Fail(fmt.Errorf("%w: members not in strict order (%q after %q)", binfmt.ErrValue, id, a.Members[i-1]))
 		}
 		a.Members = append(a.Members, id)
 	}
-	if a.Overrides, err = decodeOverrideMap(r); err != nil {
-		return a, err
-	}
-	if a.FollowerOverrides, err = decodeOverrideMap(r); err != nil {
-		return a, err
-	}
-	return a, nil
+	a.Overrides = decodeOverrideMap(r)
+	a.FollowerOverrides = decodeOverrideMap(r)
+	return a
 }
 
 func tileLess(a, b [2]int) bool {
@@ -816,7 +532,7 @@ func EncodeFrame(msg any) ([]byte, error) {
 	case *Hello:
 		buf := newFrame(kindHello, 8+len(m.NodeID))
 		buf = binary.LittleEndian.AppendUint32(buf, m.Deadline)
-		buf, err := appendStr16(buf, m.NodeID)
+		buf, err := binfmt.AppendStr16(buf, m.NodeID)
 		if err != nil {
 			return nil, err
 		}
@@ -825,7 +541,7 @@ func EncodeFrame(msg any) ([]byte, error) {
 		buf := newFrame(kindAck, 16+len(m.Msg))
 		buf = append(buf, m.Status)
 		buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-		buf, err := appendStr16(buf, m.Msg)
+		buf, err := binfmt.AppendStr16(buf, m.Msg)
 		if err != nil {
 			return nil, err
 		}
@@ -847,7 +563,7 @@ func EncodeFrame(msg any) ([]byte, error) {
 		if buf, err = appendFeatureConfig(buf, m.Cfg); err != nil {
 			return nil, err
 		}
-		if buf, err = appendScan(buf, m.Scan); err != nil {
+		if buf, err = wifi.AppendScan(buf, m.Scan); err != nil {
 			return nil, err
 		}
 		return finishFrame(buf)
@@ -855,7 +571,7 @@ func EncodeFrame(msg any) ([]byte, error) {
 		buf := newFrame(kindConfResp, 32+len(m.Confs)*confMinBytes)
 		buf = append(buf, m.Status)
 		buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-		buf, err := appendStr16(buf, m.Msg)
+		buf, err := binfmt.AppendStr16(buf, m.Msg)
 		if err != nil {
 			return nil, err
 		}
@@ -873,7 +589,7 @@ func EncodeFrame(msg any) ([]byte, error) {
 		buf := newFrame(kindTileState, 32+len(m.Entries)*entryMinBytes)
 		buf = append(buf, m.Status)
 		buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-		buf, err := appendStr16(buf, m.Msg)
+		buf, err := binfmt.AppendStr16(buf, m.Msg)
 		if err != nil {
 			return nil, err
 		}
@@ -897,12 +613,12 @@ func EncodeFrame(msg any) ([]byte, error) {
 		buf := newFrame(kindSeqsResp, 32+len(m.Tiles)*16)
 		buf = append(buf, m.Status)
 		buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-		buf, err := appendStr16(buf, m.Msg)
+		buf, err := binfmt.AppendStr16(buf, m.Msg)
 		if err != nil {
 			return nil, err
 		}
 		if len(m.Tiles) > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: %d tile seqs", ErrValue, len(m.Tiles))
+			return nil, fmt.Errorf("%w: %d tile seqs", binfmt.ErrValue, len(m.Tiles))
 		}
 		tiles := append([]TileSeq(nil), m.Tiles...)
 		sort.Slice(tiles, func(i, j int) bool { return tileLess(tiles[i].Tile, tiles[j].Tile) })
@@ -922,7 +638,7 @@ func EncodeFrame(msg any) ([]byte, error) {
 		buf := newFrame(kindStatsResp, 64)
 		buf = append(buf, m.Status)
 		buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
-		buf, err := appendStr16(buf, m.Msg)
+		buf, err := binfmt.AppendStr16(buf, m.Msg)
 		if err != nil {
 			return nil, err
 		}
@@ -934,7 +650,7 @@ func EncodeFrame(msg any) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, m.ExpiredRejects)
 		return finishFrame(buf)
 	default:
-		return nil, fmt.Errorf("%w: cannot encode %T", ErrKind, msg)
+		return nil, fmt.Errorf("%w: cannot encode %T", binfmt.ErrKind, msg)
 	}
 }
 
@@ -978,214 +694,80 @@ func encodeTileReq(kind byte, m *TileReq) ([]byte, error) {
 
 // DecodeFrame parses one wire frame into its typed message.
 func DecodeFrame(data []byte) (any, error) {
-	kind, r, err := header(data)
+	kind, r, err := binfmt.Header(data, codecVersion)
 	if err != nil {
 		return nil, err
 	}
+	var msg any
 	switch kind {
 	case kindHello:
-		m := &Hello{}
-		if m.Deadline, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if m.NodeID, err = r.str16(); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		msg = &Hello{Deadline: r.U32(), NodeID: r.Str16()}
 	case kindAck:
-		m := &Ack{}
-		if m.Status, err = r.u8(); err != nil {
-			return nil, err
-		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Msg, err = r.str16(); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		msg = &Ack{Status: r.U8(), Epoch: r.U64(), Msg: r.Str16()}
 	case kindAdd, kindInstall:
-		m := &AddReq{}
-		if m.Deadline, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Entries, err = decodeEntries(r); err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
+		m := &AddReq{Deadline: r.U32(), Epoch: r.U64(), Entries: decodeEntries(r)}
+		msg = m
 		if kind == kindInstall {
-			return (*InstallReq)(m), nil
+			msg = (*InstallReq)(m)
 		}
-		return m, nil
 	case kindConf:
-		m := &ConfReq{}
-		if m.Deadline, err = r.u32(); err != nil {
-			return nil, err
+		msg = &ConfReq{
+			Deadline: r.U32(),
+			Epoch:    r.U64(),
+			Tile:     readTile(r),
+			Pos:      geo.Point{X: r.F64(), Y: r.F64()},
+			Cfg:      decodeFeatureConfig(r),
+			Scan:     wifi.ReadScan(r),
 		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Tile, err = r.tile(); err != nil {
-			return nil, err
-		}
-		if m.Pos.X, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if m.Pos.Y, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if m.Cfg, err = decodeFeatureConfig(r); err != nil {
-			return nil, err
-		}
-		if m.Scan, err = decodeScan(r); err != nil {
-			return nil, err
-		}
-		return m, r.done()
 	case kindConfResp:
-		m := &ConfResp{}
-		if m.Status, err = r.u8(); err != nil {
-			return nil, err
-		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Msg, err = r.str16(); err != nil {
-			return nil, err
-		}
-		if m.Confs, err = decodeConfs(r); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		msg = &ConfResp{Status: r.U8(), Epoch: r.U64(), Msg: r.Str16(), Confs: decodeConfs(r)}
 	case kindFreeze, kindFetchTile, kindDrop:
-		m := &TileReq{}
-		if m.Deadline, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Tile, err = r.tile(); err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
+		m := &TileReq{Deadline: r.U32(), Epoch: r.U64(), Tile: readTile(r)}
 		switch kind {
 		case kindFreeze:
-			return (*FreezeReq)(m), nil
+			msg = (*FreezeReq)(m)
 		case kindFetchTile:
-			return (*FetchTileReq)(m), nil
+			msg = (*FetchTileReq)(m)
 		default:
-			return (*DropReq)(m), nil
+			msg = (*DropReq)(m)
 		}
 	case kindTileState:
-		m := &TileState{}
-		if m.Status, err = r.u8(); err != nil {
-			return nil, err
-		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Msg, err = r.str16(); err != nil {
-			return nil, err
-		}
-		if m.Entries, err = decodeEntries(r); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		msg = &TileState{Status: r.U8(), Epoch: r.U64(), Msg: r.Str16(), Entries: decodeEntries(r)}
 	case kindAssign:
-		m := &AssignReq{}
-		if m.Deadline, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if m.Assign, err = decodeAssignment(r); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		msg = &AssignReq{Deadline: r.U32(), Assign: decodeAssignment(r)}
 	case kindTileSeqs:
-		m := &SeqsReq{}
-		if m.Deadline, err = r.u32(); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		msg = &SeqsReq{Deadline: r.U32()}
 	case kindSeqsResp:
-		m := &SeqsResp{}
-		if m.Status, err = r.u8(); err != nil {
-			return nil, err
-		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Msg, err = r.str16(); err != nil {
-			return nil, err
-		}
-		n, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
+		m := &SeqsResp{Status: r.U8(), Epoch: r.U64(), Msg: r.Str16()}
 		const tileSeqBytes = 8 + 8
-		if int64(n)*tileSeqBytes > int64(len(r.data)-r.off) {
-			return nil, fmt.Errorf("%w: claims %d tile seqs in %d payload bytes", ErrOversized, n, len(r.data)-r.off)
-		}
-		m.Tiles = make([]TileSeq, n)
-		var prev [2]int
+		m.Tiles = make([]TileSeq, r.Count(tileSeqBytes))
 		for i := range m.Tiles {
-			if m.Tiles[i].Tile, err = r.tile(); err != nil {
-				return nil, err
+			m.Tiles[i].Tile = readTile(r)
+			if i > 0 && !tileLess(m.Tiles[i-1].Tile, m.Tiles[i].Tile) {
+				r.Fail(fmt.Errorf("%w: tile seqs not in strict tile order", binfmt.ErrValue))
 			}
-			if i > 0 && !tileLess(prev, m.Tiles[i].Tile) {
-				return nil, fmt.Errorf("%w: tile seqs not in strict tile order", ErrValue)
-			}
-			prev = m.Tiles[i].Tile
-			if m.Tiles[i].Seq, err = r.u64(); err != nil {
-				return nil, err
-			}
+			m.Tiles[i].Seq = r.U64()
 		}
-		return m, r.done()
+		msg = m
 	case kindStats:
-		m := &StatsReq{}
-		if m.Deadline, err = r.u32(); err != nil {
-			return nil, err
-		}
-		return m, r.done()
+		msg = &StatsReq{Deadline: r.U32()}
 	case kindStatsResp:
-		m := &StatsResp{}
-		if m.Status, err = r.u8(); err != nil {
-			return nil, err
+		msg = &StatsResp{
+			Status:         r.U8(),
+			Epoch:          r.U64(),
+			Msg:            r.Str16(),
+			Tiles:          r.U32(),
+			Entries:        r.U64(),
+			WALFrames:      r.U64(),
+			WALBytes:       int64(r.U64()),
+			Generation:     r.U64(),
+			ExpiredRejects: r.U64(),
 		}
-		if m.Epoch, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.Msg, err = r.str16(); err != nil {
-			return nil, err
-		}
-		if m.Tiles, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if m.Entries, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.WALFrames, err = r.u64(); err != nil {
-			return nil, err
-		}
-		wb, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		m.WALBytes = int64(wb)
-		if m.Generation, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if m.ExpiredRejects, err = r.u64(); err != nil {
-			return nil, err
-		}
-		return m, r.done()
 	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrKind, kind)
+		return nil, fmt.Errorf("%w: unknown kind %d", binfmt.ErrKind, kind)
 	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return msg, nil
 }

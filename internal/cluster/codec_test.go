@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -10,8 +11,12 @@ import (
 	"strconv"
 	"testing"
 
+	"trajforge/internal/binfmt"
+	"trajforge/internal/fsx"
 	"trajforge/internal/geo"
 	"trajforge/internal/rssimap"
+	"trajforge/internal/shardstore"
+	"trajforge/internal/wal"
 	"trajforge/internal/wifi"
 )
 
@@ -110,21 +115,21 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 	t.Run("bad version", func(t *testing.T) {
 		frame, _ := EncodeFrame(&SeqsReq{})
 		frame[0] = 9
-		if _, err := DecodeFrame(frame); !errors.Is(err, ErrVersion) {
+		if _, err := DecodeFrame(frame); !errors.Is(err, binfmt.ErrVersion) {
 			t.Fatalf("got %v, want ErrVersion", err)
 		}
 	})
 	t.Run("unknown kind", func(t *testing.T) {
 		frame, _ := EncodeFrame(&SeqsReq{})
 		frame[1] = 200
-		if _, err := DecodeFrame(frame); !errors.Is(err, ErrKind) {
+		if _, err := DecodeFrame(frame); !errors.Is(err, binfmt.ErrKind) {
 			t.Fatalf("got %v, want ErrKind", err)
 		}
 	})
 	t.Run("payload length lies short", func(t *testing.T) {
 		frame, _ := EncodeFrame(&Hello{NodeID: "x"})
 		frame[2]-- // declare one byte less than present
-		if _, err := DecodeFrame(frame); !errors.Is(err, ErrOversized) {
+		if _, err := DecodeFrame(frame); !errors.Is(err, binfmt.ErrOversized) {
 			t.Fatalf("got %v, want ErrOversized", err)
 		}
 	})
@@ -144,7 +149,7 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 			t.Fatalf("unexpected encoding layout")
 		}
 		frame[a], frame[a+1], frame[b], frame[b+1] = 'b', 'b', 'a', 'a'
-		if _, err := DecodeFrame(frame); !errors.Is(err, ErrValue) {
+		if _, err := DecodeFrame(frame); !errors.Is(err, binfmt.ErrValue) {
 			t.Fatalf("got %v, want ErrValue", err)
 		}
 	})
@@ -159,7 +164,7 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 		}
 		i := bytes.Index(frame, []byte("ab"))
 		frame[i+1] = 'a' // now two "aa" entries
-		if _, err := DecodeFrame(frame); !errors.Is(err, ErrValue) {
+		if _, err := DecodeFrame(frame); !errors.Is(err, binfmt.ErrValue) {
 			t.Fatalf("got %v, want ErrValue", err)
 		}
 	})
@@ -172,7 +177,7 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 		i := bytes.Index(frame, []byte("n1"))
 		j := bytes.Index(frame, []byte("n2"))
 		frame[i+1], frame[j+1] = '2', '1'
-		if _, err := DecodeFrame(frame); !errors.Is(err, ErrValue) {
+		if _, err := DecodeFrame(frame); !errors.Is(err, binfmt.ErrValue) {
 			t.Fatalf("got %v, want ErrValue", err)
 		}
 	})
@@ -180,7 +185,7 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 		frame, _ := EncodeFrame(&AddReq{Epoch: 1})
 		// Entry count sits in the last 4 payload bytes; claim 2^31 entries.
 		frame[len(frame)-1] = 0x80
-		if _, err := DecodeFrame(frame); !errors.Is(err, ErrOversized) {
+		if _, err := DecodeFrame(frame); !errors.Is(err, binfmt.ErrOversized) {
 			t.Fatalf("got %v, want ErrOversized", err)
 		}
 	})
@@ -192,7 +197,7 @@ func TestCodecRejectsNonCanonical(t *testing.T) {
 		}
 		// The flags byte sits 3 bytes before the trailing empty-scan u16.
 		frame[len(frame)-3] |= 0x80
-		if _, err := DecodeFrame(frame); !errors.Is(err, ErrValue) {
+		if _, err := DecodeFrame(frame); !errors.Is(err, binfmt.ErrValue) {
 			t.Fatalf("got %v, want ErrValue", err)
 		}
 	})
@@ -310,5 +315,59 @@ func TestRegenClusterCodecCorpus(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRecoveryRefusesOversizedCounts: a CRC-valid WAL frame or snapshot
+// whose u32 count claims more elements than its bytes can hold is
+// corruption. Recovery refuses it with wal.ErrCorrupt wrapping
+// binfmt.ErrOversized, before anything is sized from the claim.
+func TestRecoveryRefusesOversizedCounts(t *testing.T) {
+	claim := binary.LittleEndian.AppendUint32(nil, math.MaxUint32)
+	assign, err := appendAssignment(nil, Assignment{Epoch: 1, Members: []string{"n1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	openStore := func(dir string) error {
+		_, err := NewStore(Options{Shard: shardstore.DefaultConfig(), Nodes: map[string]string{"n1": "127.0.0.1:1"}, Dir: dir})
+		return err
+	}
+	openNode := func(dir string) error {
+		_, err := NewNode("n1", shardstore.DefaultConfig(), NodeOptions{Dir: dir})
+		return err
+	}
+	cases := []struct {
+		name  string
+		write func(dir string) error
+		open  func(dir string) error
+	}{
+		{"coordinator WAL record count", func(dir string) error {
+			log, err := wal.Open(filepath.Join(dir, coordWALName), wal.Options{})
+			if err != nil {
+				return err
+			}
+			if err := log.Append(coordFrameRecords, claim); err != nil {
+				return err
+			}
+			return log.Close()
+		}, openStore},
+		{"coordinator snapshot record count", func(dir string) error {
+			return wal.WriteSnapshotFS(fsx.OS, filepath.Join(dir, coordSnapName), 1, claim)
+		}, openStore},
+		{"node snapshot tile count", func(dir string) error {
+			return wal.WriteSnapshotFS(fsx.OS, filepath.Join(dir, nodeSnapName), 1, append(assign, claim...))
+		}, openNode},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := tc.write(dir); err != nil {
+				t.Fatal(err)
+			}
+			err := tc.open(dir)
+			if !errors.Is(err, wal.ErrCorrupt) || !errors.Is(err, binfmt.ErrOversized) {
+				t.Fatalf("got %v, want wal.ErrCorrupt wrapping binfmt.ErrOversized", err)
+			}
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"path/filepath"
 
+	"trajforge/internal/binfmt"
 	"trajforge/internal/fsx"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/wal"
@@ -64,7 +65,7 @@ func (s *Store) openDurability() (*Assignment, error) {
 		a, err := s.loadCoordSnapshot(payload)
 		if err != nil {
 			log.Close()
-			return nil, fmt.Errorf("%w: coordinator snapshot: %v", wal.ErrCorrupt, err)
+			return nil, fmt.Errorf("%w: coordinator snapshot: %w", wal.ErrCorrupt, err)
 		}
 		recovered = a
 	}
@@ -93,41 +94,26 @@ func (s *Store) openDurability() (*Assignment, error) {
 }
 
 func (s *Store) replayCoordFrame(typ byte, payload []byte, recovered **Assignment) error {
-	r := &reader{data: payload}
+	r := binfmt.NewReader(payload)
 	switch typ {
 	case coordFrameRecords:
-		n, err := r.u32()
-		if err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-		}
-		recs := make([]rssimap.Record, 0, n)
-		for i := 0; i < int(n); i++ {
-			rec, err := decodeRecord(r)
-			if err != nil {
-				return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-			}
-			recs = append(recs, rec)
-		}
-		if err := r.done(); err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
+		recs := decodeRecords(r)
+		if err := r.Done(); err != nil {
+			return fmt.Errorf("%w: %w", wal.ErrCorrupt, err)
 		}
 		s.appendToLogLocked(recs)
-		return nil
 	case coordFrameAssign:
-		a, err := decodeAssignment(r)
-		if err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-		}
-		if err := r.done(); err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
+		a := decodeAssignment(r)
+		if err := r.Done(); err != nil {
+			return fmt.Errorf("%w: %w", wal.ErrCorrupt, err)
 		}
 		if *recovered == nil || a.Epoch >= (*recovered).Epoch {
 			*recovered = &a
 		}
-		return nil
 	default:
 		return fmt.Errorf("%w: unknown coordinator frame type %d", wal.ErrCorrupt, typ)
 	}
+	return nil
 }
 
 // appendToLogLocked appends recovered records to the canonical log and
@@ -156,12 +142,9 @@ func (s *Store) journalRecordsLocked(recs []rssimap.Record) error {
 	if s.walErr != nil {
 		return s.walErr
 	}
-	buf := appendU32(nil, uint32(len(recs)))
-	var err error
-	for _, rec := range recs {
-		if buf, err = appendRecord(buf, rec); err != nil {
-			return err
-		}
+	buf, err := appendRecords(nil, recs)
+	if err != nil {
+		return err
 	}
 	if err := s.wlog.Append(coordFrameRecords, buf); err != nil {
 		s.walErr = fmt.Errorf("cluster: coordinator wal failed: %w", err)
@@ -191,24 +174,10 @@ func (s *Store) journalAssignLocked(a Assignment) {
 // loadCoordSnapshot decodes a coordinator checkpoint: the canonical record
 // log, then the assignment current when it was taken.
 func (s *Store) loadCoordSnapshot(payload []byte) (*Assignment, error) {
-	r := &reader{data: payload}
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]rssimap.Record, 0, n)
-	for i := 0; i < int(n); i++ {
-		rec, err := decodeRecord(r)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
-	a, err := decodeAssignment(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
+	r := binfmt.NewReader(payload)
+	recs := decodeRecords(r)
+	a := decodeAssignment(r)
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	s.appendToLogLocked(recs)
@@ -227,12 +196,9 @@ func (s *Store) Compact() error {
 	if s.walErr != nil {
 		return s.walErr
 	}
-	buf := appendU32(nil, uint32(len(s.log)))
-	var err error
-	for _, rec := range s.log {
-		if buf, err = appendRecord(buf, rec); err != nil {
-			return err
-		}
+	buf, err := appendRecords(nil, s.log)
+	if err != nil {
+		return err
 	}
 	if buf, err = appendAssignment(buf, s.assign); err != nil {
 		return err

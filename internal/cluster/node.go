@@ -16,6 +16,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -24,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"trajforge/internal/binfmt"
 	"trajforge/internal/fsx"
 	"trajforge/internal/rssimap"
 	"trajforge/internal/shardstore"
@@ -159,7 +161,7 @@ func (n *Node) load() error {
 		return err
 	default:
 		if err := n.loadSnapshot(payload); err != nil {
-			return fmt.Errorf("%w: node snapshot: %v", wal.ErrCorrupt, err)
+			return fmt.Errorf("%w: node snapshot: %w", wal.ErrCorrupt, err)
 		}
 	}
 	walGen := n.log.Generation()
@@ -179,46 +181,35 @@ func (n *Node) load() error {
 }
 
 func (n *Node) replayFrame(typ byte, payload []byte) error {
-	r := &reader{data: payload}
+	r := binfmt.NewReader(payload)
 	switch typ {
 	case nodeFrameEntries:
-		entries, err := decodeEntries(r)
-		if err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-		}
-		if err := r.done(); err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
+		entries := decodeEntries(r)
+		if err := r.Done(); err != nil {
+			return fmt.Errorf("%w: %w", wal.ErrCorrupt, err)
 		}
 		n.applyEntriesLocked(entries)
-		return nil
 	case nodeFrameDrop:
-		t, err := r.tile()
-		if err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-		}
-		if err := r.done(); err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
+		t := readTile(r)
+		if err := r.Done(); err != nil {
+			return fmt.Errorf("%w: %w", wal.ErrCorrupt, err)
 		}
 		delete(n.tiles, t)
 		delete(n.frozen, t)
-		return nil
 	case nodeFrameAssign:
-		a, err := decodeAssignment(r)
-		if err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
-		}
-		if err := r.done(); err != nil {
-			return fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
+		a := decodeAssignment(r)
+		if err := r.Done(); err != nil {
+			return fmt.Errorf("%w: %w", wal.ErrCorrupt, err)
 		}
 		// Replay preserves monotonicity: frames were only journaled for
 		// accepted (>= current) epochs.
 		if a.Epoch >= n.epoch {
 			n.epoch, n.assign = a.Epoch, a
 		}
-		return nil
 	default:
 		return fmt.Errorf("%w: unknown node frame type %d", wal.ErrCorrupt, typ)
 	}
+	return nil
 }
 
 // applyEntriesLocked applies a batch, gated per tile on the applied
@@ -293,6 +284,8 @@ func (n *Node) Compact() error {
 // snapshotLocked encodes the full node state with the wire codec —
 // deterministic bytes, no gob: assignment, then each tile's applied log
 // in tile order.
+//
+//	assignment | u32 nTiles | nTiles × { tile | u64 lastSeq | entries }
 func (n *Node) snapshotLocked() ([]byte, error) {
 	buf, err := appendAssignment(nil, n.assign)
 	if err != nil {
@@ -303,13 +296,13 @@ func (n *Node) snapshotLocked() ([]byte, error) {
 		tiles = append(tiles, t)
 	}
 	sort.Slice(tiles, func(i, j int) bool { return tileLess(tiles[i], tiles[j]) })
-	buf = appendU32(buf, uint32(len(tiles)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tiles)))
 	for _, t := range tiles {
 		ts := n.tiles[t]
 		if buf, err = appendTile(buf, t); err != nil {
 			return nil, err
 		}
-		buf = appendU64(buf, ts.lastSeq)
+		buf = binary.LittleEndian.AppendUint64(buf, ts.lastSeq)
 		if buf, err = appendEntries(buf, ts.entries); err != nil {
 			return nil, err
 		}
@@ -317,52 +310,29 @@ func (n *Node) snapshotLocked() ([]byte, error) {
 	return buf, nil
 }
 
+// snapTileMinBytes is the fixed per-tile snapshot cost (tile + lastSeq +
+// entry count).
+const snapTileMinBytes = 8 + 8 + 4
+
 func (n *Node) loadSnapshot(payload []byte) error {
-	r := &reader{data: payload}
-	a, err := decodeAssignment(r)
-	if err != nil {
-		return err
-	}
+	r := binfmt.NewReader(payload)
+	a := decodeAssignment(r)
 	n.epoch, n.assign = a.Epoch, a
-	nt, err := r.u32()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < int(nt); i++ {
-		t, err := r.tile()
-		if err != nil {
-			return err
-		}
-		lastSeq, err := r.u64()
-		if err != nil {
-			return err
-		}
-		entries, err := decodeEntries(r)
-		if err != nil {
-			return err
-		}
+	nt := r.Count(snapTileMinBytes)
+	for i := 0; i < nt && r.Err() == nil; i++ {
+		t, lastSeq, entries := readTile(r), r.U64(), decodeEntries(r)
 		st, err := rssimap.NewStore(n.cfg.Store, nil)
 		if err != nil {
 			return err
 		}
-		ts := &tileState{store: st, lastSeq: lastSeq, entries: entries}
 		recs := make([]rssimap.Record, len(entries))
 		for j, e := range entries {
 			recs[j] = e.Rec
 		}
-		ts.store.Add(recs)
-		n.tiles[t] = ts
+		st.Add(recs)
+		n.tiles[t] = &tileState{store: st, lastSeq: lastSeq, entries: entries}
 	}
-	return r.done()
-}
-
-func appendU32(buf []byte, v uint32) []byte {
-	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(buf []byte, v uint64) []byte {
-	buf = appendU32(buf, uint32(v))
-	return appendU32(buf, uint32(v>>32))
+	return r.Done()
 }
 
 // Serve accepts shard-transport connections until the listener closes.

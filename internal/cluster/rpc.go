@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"time"
+
+	"trajforge/internal/binfmt"
 )
 
 // writeMsg encodes msg and writes the frame to the connection. A non-zero
@@ -28,17 +30,17 @@ func readMsg(conn net.Conn, deadline time.Time) (any, error) {
 	if err := conn.SetReadDeadline(deadline); err != nil {
 		return nil, err
 	}
-	var hdr [6]byte
+	var hdr [binfmt.HeaderLen]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return nil, err
 	}
-	plen := binary.LittleEndian.Uint32(hdr[2:6])
-	if int64(plen) > maxFrameBytes-6 {
-		return nil, fmt.Errorf("%w: payload of %d bytes", ErrOversized, plen)
+	plen := binary.LittleEndian.Uint32(hdr[2:binfmt.HeaderLen])
+	if int64(plen) > maxFrameBytes-binfmt.HeaderLen {
+		return nil, fmt.Errorf("%w: payload of %d bytes", binfmt.ErrOversized, plen)
 	}
-	frame := make([]byte, 6+int(plen))
+	frame := make([]byte, binfmt.HeaderLen+int(plen))
 	copy(frame, hdr[:])
-	if _, err := io.ReadFull(conn, frame[6:]); err != nil {
+	if _, err := io.ReadFull(conn, frame[binfmt.HeaderLen:]); err != nil {
 		return nil, err
 	}
 	return DecodeFrame(frame)

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trajforge/internal/binfmt"
 	"trajforge/internal/fsx"
 	"trajforge/internal/geo"
 	"trajforge/internal/parallel"
@@ -462,7 +463,7 @@ func (s *Store) forwardConfs(ctx context.Context, o geo.Point, scan wifi.Scan, c
 			}
 			cr, ok := resp.(*ConfResp)
 			if !ok {
-				return nil, fmt.Errorf("%w: %T to a confidence query", ErrKind, resp)
+				return nil, fmt.Errorf("%w: %T to a confidence query", binfmt.ErrKind, resp)
 			}
 			switch cr.Status {
 			case statusOK:

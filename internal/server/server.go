@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trajforge/internal/binfmt"
 	"trajforge/internal/cluster"
 	"trajforge/internal/detect"
 	"trajforge/internal/geo"
@@ -442,6 +443,9 @@ func (s *Service) decode(req *UploadRequest) (*wifi.Upload, error) {
 	if len(req.Points) > s.cfg.MaxPoints {
 		return nil, fmt.Errorf("trajectory has %d points, limit %d", len(req.Points), s.cfg.MaxPoints)
 	}
+	if err := checkIdentity(req.ID, req.Contributor); err != nil {
+		return nil, err
+	}
 	t := &trajectory.T{ID: req.ID}
 	if req.Mode != "" {
 		m, err := trajectory.ParseMode(req.Mode)
@@ -464,8 +468,22 @@ func (s *Service) decode(req *UploadRequest) (*wifi.Upload, error) {
 	return &wifi.Upload{Traj: t, Scans: scans, Contributor: req.Contributor}, nil
 }
 
+// checkIdentity refuses an upload or session id, or a contributor, too
+// long for the u16 length prefix the WAL and wire codecs give it.
+func checkIdentity(id, contributor string) error {
+	if err := binfmt.CheckStr16(id); err != nil {
+		return fmt.Errorf("id: %w", err)
+	}
+	if err := binfmt.CheckStr16(contributor); err != nil {
+		return fmt.Errorf("contributor: %w", err)
+	}
+	return nil
+}
+
 // decodePoints converts wire points into projected plane points and scans —
-// the shared half of batch and streaming decoding. Trajectory-level rules
+// the shared half of batch and streaming decoding. Scans the WAL could not
+// journal bit-exact (a MAC over 255 bytes, an RSSI outside int16) are
+// refused here, before anything is acked. Trajectory-level rules
 // (length, timing) stay with the callers: the batch decoder validates the
 // whole trajectory at once, while the stream manager enforces them
 // incrementally across chunk boundaries.
@@ -484,6 +502,9 @@ func (s *Service) decodePoints(points []uploadPoint) ([]trajectory.Point, []wifi
 		}
 		if len(p.Scan) > 0 {
 			scans[i] = wifi.Scan(p.Scan)
+			if err := scans[i].CheckFrame(); err != nil {
+				return nil, nil, false, fmt.Errorf("point %d: %w", i, err)
+			}
 			anyScan = true
 		} else {
 			scans[i] = wifi.Scan{}

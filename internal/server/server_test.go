@@ -18,6 +18,7 @@ import (
 	"trajforge/internal/mobility"
 	"trajforge/internal/roadnet"
 	"trajforge/internal/rssimap"
+	"trajforge/internal/stream"
 	"trajforge/internal/trajectory"
 	"trajforge/internal/wifi"
 )
@@ -486,5 +487,99 @@ func TestHealthRejectsNonGET(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE /v1/health = %d", resp.StatusCode)
+	}
+}
+
+// TestDecodeRefusesUnframeableFields: a field the WAL and wire codecs
+// cannot carry (a MAC over 255 bytes, an RSSI outside int16, an id or
+// contributor over 65,535 bytes) is a 400 at decode on every JSON entry
+// point, so nothing is acked that the journal would then fail to write or
+// would write wrapped.
+func TestDecodeRefusesUnframeableFields(t *testing.T) {
+	p, err := OpenPersistence(t.TempDir(), PersistOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, ts, client := newTestService(t, Config{Persist: p, Stream: &stream.Config{}})
+	post := func(path string, v any) int {
+		t.Helper()
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	longMAC := strings.Repeat("a", 256)
+	longID := strings.Repeat("i", 65536)
+	badScans := map[string]wifi.Observation{
+		"mac":       {MAC: longMAC, RSSI: -60},
+		"rssi-high": {MAC: "02:4e:00:00:00:01", RSSI: 40000},
+		"rssi-low":  {MAC: "02:4e:00:00:00:01", RSSI: -40000},
+	}
+
+	for name, obs := range badScans {
+		req, err := client.BuildRequest(uploadFor(t, 71, 12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Points[3].Scan = append(req.Points[3].Scan, obs)
+		if code := post("/v1/trajectory", req); code != http.StatusBadRequest {
+			t.Errorf("upload with %s = %d, want 400", name, code)
+		}
+	}
+	for name, mutate := range map[string]func(*UploadRequest){
+		"id":          func(r *UploadRequest) { r.ID = longID },
+		"contributor": func(r *UploadRequest) { r.Contributor = longID },
+	} {
+		req, err := client.BuildRequest(uploadFor(t, 72, 12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(req)
+		if code := post("/v1/trajectory", req); code != http.StatusBadRequest {
+			t.Errorf("upload with long %s = %d, want 400", name, code)
+		}
+	}
+
+	for name, open := range map[string]SessionOpenRequest{
+		"id":          {ID: longID},
+		"contributor": {Contributor: longID},
+	} {
+		if code := post("/v1/session/open", open); code != http.StatusBadRequest {
+			t.Errorf("session open with long %s = %d, want 400", name, code)
+		}
+	}
+	id, err := client.OpenSession("", "walking")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, obs := range badScans {
+		req, err := client.BuildSessionAppend(id, 0, uploadFor(t, 73, 12), 0, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Points[2].Scan = append(req.Points[2].Scan, obs)
+		if code := post("/v1/session/append", req); code != http.StatusBadRequest {
+			t.Errorf("append with %s = %d, want 400", name, code)
+		}
+	}
+	req, err := client.BuildSessionAppend(longID, 0, uploadFor(t, 73, 12), 0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post("/v1/session/append", req); code != http.StatusBadRequest {
+		t.Errorf("append with long session id = %d, want 400", code)
+	}
+
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.Persistence.Errors != 0 {
+		t.Fatalf("persistence errors = %d, want 0", st.Persistence.Errors)
 	}
 }

@@ -84,6 +84,10 @@ func (s *Service) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	if err := checkIdentity(req.ID, req.Contributor); err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		return
+	}
 	var mode trajectory.Mode
 	if req.Mode != "" {
 		m, err := trajectory.ParseMode(req.Mode)
@@ -154,6 +158,9 @@ func (s *Service) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pts, scans, _, err := s.decodePoints(req.Points)
+	if err == nil {
+		err = checkIdentity(req.SessionID, "")
+	}
 	s.observeStage(stageDecode, decodeStart)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"trajforge/internal/binfmt"
 	"trajforge/internal/trajectory"
 	"trajforge/internal/wifi"
 )
@@ -16,6 +17,8 @@ import (
 // This codec stores the already-projected plane floats verbatim
 // (little-endian IEEE-754 bits), so a store rebuilt from the log answers
 // feature queries bit-identically to the store that ingested the upload.
+// Field encodings and decode errors are internal/binfmt's; scans use the
+// wifi.AppendScan layout.
 //
 // Layout (version 2, little endian):
 //
@@ -34,44 +37,66 @@ import (
 
 const uploadCodecVersion = 2
 
+// uploadPointSize is the fixed per-point cost (X, Y, nanos).
+const uploadPointSize = 24
+
 // appendUpload encodes u onto buf and returns the extended slice.
 func appendUpload(buf []byte, u *wifi.Upload, pFake float64) ([]byte, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
-	if len(u.Traj.ID) > math.MaxUint16 {
-		return nil, fmt.Errorf("server: upload id of %d bytes too long to persist", len(u.Traj.ID))
+	buf, err := binfmt.AppendStr16(append(buf, uploadCodecVersion, byte(u.Traj.Mode)), u.Traj.ID)
+	if err != nil {
+		return nil, fmt.Errorf("server: upload id: %w", err)
 	}
-	if len(u.Contributor) > math.MaxUint16 {
-		return nil, fmt.Errorf("server: contributor of %d bytes too long to persist", len(u.Contributor))
-	}
-	buf = append(buf, uploadCodecVersion, byte(u.Traj.Mode))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(u.Traj.ID)))
-	buf = append(buf, u.Traj.ID...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(u.Traj.Len()))
 	for _, pt := range u.Traj.Points {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(pt.Pos.X))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(pt.Pos.Y))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(pt.Time.UnixNano()))
 	}
-	for _, scan := range u.Scans {
-		if len(scan) > math.MaxUint16 {
-			return nil, fmt.Errorf("server: scan of %d observations too large to persist", len(scan))
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(scan)))
-		for _, obs := range scan {
-			if len(obs.MAC) > math.MaxUint8 {
-				return nil, fmt.Errorf("server: MAC %q too long to persist", obs.MAC)
-			}
-			buf = append(buf, byte(len(obs.MAC)))
-			buf = append(buf, obs.MAC...)
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(obs.RSSI)))
+	for i, scan := range u.Scans {
+		if buf, err = wifi.AppendScan(buf, scan); err != nil {
+			return nil, fmt.Errorf("server: point %d: %w", i, err)
 		}
 	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(u.Contributor)))
-	buf = append(buf, u.Contributor...)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(pFake))
-	return buf, nil
+	if buf, err = binfmt.AppendStr16(buf, u.Contributor); err != nil {
+		return nil, fmt.Errorf("server: contributor: %w", err)
+	}
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(pFake)), nil
+}
+
+// decodeUpload parses one frame payload back into an upload.
+func decodeUpload(data []byte) (*wifi.Upload, float64, error) {
+	r := binfmt.NewReader(data)
+	ver := r.U8()
+	if r.Err() == nil && ver != 1 && ver != uploadCodecVersion {
+		return nil, 0, fmt.Errorf("%w: upload frame version %d", binfmt.ErrVersion, ver)
+	}
+	mode := trajectory.Mode(r.U8())
+	t := &trajectory.T{ID: r.Str16(), Mode: mode}
+	t.Points = make([]trajectory.Point, r.Count(uploadPointSize))
+	for i := range t.Points {
+		t.Points[i].Pos.X = r.F64()
+		t.Points[i].Pos.Y = r.F64()
+		t.Points[i].Time = time.Unix(0, int64(r.U64())).UTC()
+	}
+	scans := make([]wifi.Scan, len(t.Points))
+	for i := range scans {
+		if scans[i] = wifi.ReadScan(r); scans[i] == nil {
+			scans[i] = wifi.Scan{} // as Service.decode builds a scanless point
+		}
+	}
+	u := &wifi.Upload{Traj: t, Scans: scans}
+	var pFake float64
+	if ver >= 2 {
+		u.Contributor = r.Str16()
+		pFake = r.F64()
+	}
+	if err := r.Done(); err != nil {
+		return nil, 0, err
+	}
+	return u, pFake, nil
 }
 
 // appendSessionOpen encodes a frameSessionOpen payload:
@@ -82,59 +107,34 @@ func appendUpload(buf []byte, u *wifi.Upload, pFake float64) ([]byte, error) {
 // anonymous sessions) end after the mode byte, so pre-provenance WALs
 // still decode.
 func appendSessionOpen(buf []byte, id string, mode trajectory.Mode, contributor string) ([]byte, error) {
-	if id == "" {
-		return nil, fmt.Errorf("server: session open without an id")
+	buf, err := appendSessionID(buf, "open", id)
+	if err != nil {
+		return nil, err
 	}
-	if len(id) > math.MaxUint16 {
-		return nil, fmt.Errorf("server: session id of %d bytes too long to persist", len(id))
-	}
-	if len(contributor) > math.MaxUint16 {
-		return nil, fmt.Errorf("server: contributor of %d bytes too long to persist", len(contributor))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(id)))
-	buf = append(buf, id...)
 	buf = append(buf, byte(mode))
 	if contributor != "" {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(contributor)))
-		buf = append(buf, contributor...)
+		if buf, err = binfmt.AppendStr16(buf, contributor); err != nil {
+			return nil, fmt.Errorf("server: contributor: %w", err)
+		}
 	}
 	return buf, nil
 }
 
 // decodeSessionOpen parses a frameSessionOpen payload.
 func decodeSessionOpen(data []byte) (string, trajectory.Mode, string, error) {
-	r := &frameReader{data: data}
-	idLen, err := r.u16()
-	if err != nil {
-		return "", 0, "", err
-	}
-	id, err := r.take(int(idLen))
-	if err != nil {
-		return "", 0, "", err
-	}
-	mode, err := r.u8()
-	if err != nil {
-		return "", 0, "", err
-	}
+	r := binfmt.NewReader(data)
+	id := readSessionID(r)
+	mode := trajectory.Mode(r.U8())
 	var contributor string
-	if r.off != len(data) {
-		cLen, err := r.u16()
-		if err != nil {
-			return "", 0, "", err
+	if r.Len() > 0 {
+		if contributor = r.Str16(); contributor == "" {
+			r.Fail(fmt.Errorf("%w: empty contributor block in session open frame", binfmt.ErrValue))
 		}
-		c, err := r.take(int(cLen))
-		if err != nil {
-			return "", 0, "", err
-		}
-		if len(c) == 0 {
-			return "", 0, "", fmt.Errorf("server: empty contributor block in session open frame")
-		}
-		contributor = string(c)
 	}
-	if r.off != len(data) {
-		return "", 0, "", fmt.Errorf("server: %d trailing bytes in session open frame", len(data)-r.off)
+	if err := r.Done(); err != nil {
+		return "", 0, "", err
 	}
-	return string(id), trajectory.Mode(mode), contributor, nil
+	return id, mode, contributor, nil
 }
 
 // appendSessionVerdict encodes a frameSessionVerdict payload:
@@ -146,14 +146,10 @@ func decodeSessionOpen(data []byte) (string, trajectory.Mode, string, error) {
 // sessions reach the trust pipeline. Old frames (and rejects/aborts) end
 // after the outcome byte, so pre-provenance WALs still decode.
 func appendSessionVerdict(buf []byte, id string, outcome byte, pFake float64) ([]byte, error) {
-	if id == "" {
-		return nil, fmt.Errorf("server: session verdict without an id")
+	buf, err := appendSessionID(buf, "verdict", id)
+	if err != nil {
+		return nil, err
 	}
-	if len(id) > math.MaxUint16 {
-		return nil, fmt.Errorf("server: session id of %d bytes too long to persist", len(id))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(id)))
-	buf = append(buf, id...)
 	buf = append(buf, outcome)
 	if outcome == sessionAccepted {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(pFake))
@@ -163,207 +159,56 @@ func appendSessionVerdict(buf []byte, id string, outcome byte, pFake float64) ([
 
 // decodeSessionVerdict parses a frameSessionVerdict payload.
 func decodeSessionVerdict(data []byte) (string, byte, float64, error) {
-	r := &frameReader{data: data}
-	idLen, err := r.u16()
-	if err != nil {
-		return "", 0, 0, err
-	}
-	id, err := r.take(int(idLen))
-	if err != nil {
-		return "", 0, 0, err
-	}
-	outcome, err := r.u8()
-	if err != nil {
-		return "", 0, 0, err
-	}
+	r := binfmt.NewReader(data)
+	id := readSessionID(r)
+	outcome := r.U8()
 	var pFake float64
-	if r.off != len(data) {
-		bits, err := r.u64()
-		if err != nil {
-			return "", 0, 0, err
+	if r.Len() > 0 {
+		if outcome != sessionAccepted {
+			r.Fail(fmt.Errorf("%w: score on a session verdict with outcome %d", binfmt.ErrValue, outcome))
 		}
-		pFake = math.Float64frombits(bits)
+		pFake = r.F64()
 	}
-	if r.off != len(data) {
-		return "", 0, 0, fmt.Errorf("server: %d trailing bytes in session verdict frame", len(data)-r.off)
+	if err := r.Done(); err != nil {
+		return "", 0, 0, err
 	}
-	return string(id), outcome, pFake, nil
+	return id, outcome, pFake, nil
 }
 
 // appendSessionReject encodes a frameSessionReject payload:
 //
 //	u16 len(id) | id
 func appendSessionReject(buf []byte, id string) ([]byte, error) {
-	if id == "" {
-		return nil, fmt.Errorf("server: session reject without an id")
-	}
-	if len(id) > math.MaxUint16 {
-		return nil, fmt.Errorf("server: session id of %d bytes too long to persist", len(id))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(id)))
-	buf = append(buf, id...)
-	return buf, nil
+	return appendSessionID(buf, "reject", id)
 }
 
 // decodeSessionReject parses a frameSessionReject payload.
 func decodeSessionReject(data []byte) (string, error) {
-	r := &frameReader{data: data}
-	idLen, err := r.u16()
-	if err != nil {
+	r := binfmt.NewReader(data)
+	id := readSessionID(r)
+	if err := r.Done(); err != nil {
 		return "", err
 	}
-	id, err := r.take(int(idLen))
-	if err != nil {
-		return "", err
-	}
-	if r.off != len(data) {
-		return "", fmt.Errorf("server: %d trailing bytes in session reject frame", len(data)-r.off)
-	}
-	return string(id), nil
+	return id, nil
 }
 
-// frameReader is a bounds-checked cursor over one frame payload.
-type frameReader struct {
-	data []byte
-	off  int
+// appendSessionID appends the non-empty session id every session payload
+// starts with; frame names the payload in errors. readSessionID inverts it.
+func appendSessionID(buf []byte, frame, id string) ([]byte, error) {
+	if id == "" {
+		return nil, fmt.Errorf("server: session %s without an id", frame)
+	}
+	buf, err := binfmt.AppendStr16(buf, id)
+	if err != nil {
+		return nil, fmt.Errorf("server: session id: %w", err)
+	}
+	return buf, nil
 }
 
-func (r *frameReader) take(n int) ([]byte, error) {
-	if r.off+n > len(r.data) {
-		return nil, fmt.Errorf("server: truncated upload frame at byte %d", r.off)
+func readSessionID(r *binfmt.Reader) string {
+	id := r.Str16()
+	if id == "" {
+		r.Fail(fmt.Errorf("%w: session frame without an id", binfmt.ErrValue))
 	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *frameReader) u8() (byte, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *frameReader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *frameReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *frameReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-// decodeUpload parses one frame payload back into an upload.
-func decodeUpload(data []byte) (*wifi.Upload, float64, error) {
-	r := &frameReader{data: data}
-	ver, err := r.u8()
-	if err != nil {
-		return nil, 0, err
-	}
-	if ver != 1 && ver != uploadCodecVersion {
-		return nil, 0, fmt.Errorf("server: unknown upload frame version %d", ver)
-	}
-	mode, err := r.u8()
-	if err != nil {
-		return nil, 0, err
-	}
-	idLen, err := r.u16()
-	if err != nil {
-		return nil, 0, err
-	}
-	id, err := r.take(int(idLen))
-	if err != nil {
-		return nil, 0, err
-	}
-	n, err := r.u32()
-	if err != nil {
-		return nil, 0, err
-	}
-	if int64(n)*24 > int64(len(data)) {
-		return nil, 0, fmt.Errorf("server: upload frame claims %d points in %d bytes", n, len(data))
-	}
-	t := &trajectory.T{
-		ID:     string(id),
-		Mode:   trajectory.Mode(mode),
-		Points: make([]trajectory.Point, n),
-	}
-	for i := range t.Points {
-		xb, err := r.u64()
-		if err != nil {
-			return nil, 0, err
-		}
-		yb, err := r.u64()
-		if err != nil {
-			return nil, 0, err
-		}
-		ns, err := r.u64()
-		if err != nil {
-			return nil, 0, err
-		}
-		t.Points[i].Pos.X = math.Float64frombits(xb)
-		t.Points[i].Pos.Y = math.Float64frombits(yb)
-		t.Points[i].Time = time.Unix(0, int64(ns)).UTC()
-	}
-	scans := make([]wifi.Scan, n)
-	for i := range scans {
-		nObs, err := r.u16()
-		if err != nil {
-			return nil, 0, err
-		}
-		scan := make(wifi.Scan, 0, nObs)
-		for j := 0; j < int(nObs); j++ {
-			macLen, err := r.u8()
-			if err != nil {
-				return nil, 0, err
-			}
-			mac, err := r.take(int(macLen))
-			if err != nil {
-				return nil, 0, err
-			}
-			rssi, err := r.u16()
-			if err != nil {
-				return nil, 0, err
-			}
-			scan = append(scan, wifi.Observation{MAC: string(mac), RSSI: int(int16(rssi))})
-		}
-		scans[i] = scan
-	}
-	var contributor string
-	var pFake float64
-	if ver >= 2 {
-		cLen, err := r.u16()
-		if err != nil {
-			return nil, 0, err
-		}
-		c, err := r.take(int(cLen))
-		if err != nil {
-			return nil, 0, err
-		}
-		contributor = string(c)
-		bits, err := r.u64()
-		if err != nil {
-			return nil, 0, err
-		}
-		pFake = math.Float64frombits(bits)
-	}
-	if r.off != len(data) {
-		return nil, 0, fmt.Errorf("server: %d trailing bytes in upload frame", len(data)-r.off)
-	}
-	return &wifi.Upload{Traj: t, Scans: scans, Contributor: contributor}, pFake, nil
+	return id
 }

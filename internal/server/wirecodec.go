@@ -2,10 +2,10 @@ package server
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
+	"trajforge/internal/binfmt"
 	"trajforge/internal/trajectory"
 	"trajforge/internal/wifi"
 )
@@ -13,13 +13,12 @@ import (
 // Binary request codec for the upload and session-append endpoints,
 // negotiated by Content-Type. JSON remains the default wire form; clients
 // that opt in send the same logical request as a versioned, length-checked
-// binary frame and skip JSON tokenisation on both ends. The framing
-// discipline is the WAL codec's: fixed little-endian fields, u16/u8 length
-// prefixes for strings, and exact IEEE-754 bits for every float — the
-// wire carries the lat/lon float64 bits that JSON also roundtrips
-// losslessly, so a binary upload decodes to the byte-identical
-// UploadRequest a JSON upload does and the verdict (probabilities
-// included) is bit-identical across the two encodings.
+// binary frame and skip JSON tokenisation on both ends. Framing, field
+// encodings and decode errors are internal/binfmt's, and scans use the
+// wifi.AppendScan layout. The wire carries the lat/lon float64 bits that
+// JSON also roundtrips losslessly, so a binary upload decodes to the
+// byte-identical UploadRequest a JSON upload does and the verdict
+// (probabilities included) is bit-identical across the two encodings.
 //
 // Frame layout (little endian):
 //
@@ -62,103 +61,6 @@ const (
 	wirePointSize = 24
 )
 
-// Typed decode failures, distinguishable with errors.Is.
-var (
-	// ErrWireTruncated: the frame ends before a declared field.
-	ErrWireTruncated = errors.New("server: truncated binary frame")
-	// ErrWireOversized: a declared count cannot fit the frame's bytes, or
-	// the payload length disagrees with the body.
-	ErrWireOversized = errors.New("server: oversized binary frame")
-	// ErrWireVersion: the version byte is not a version this server speaks.
-	ErrWireVersion = errors.New("server: unsupported binary frame version")
-	// ErrWireKind: the kind byte does not match the endpoint.
-	ErrWireKind = errors.New("server: wrong binary frame kind")
-	// ErrWireValue: a field holds a value with no wire meaning (an unknown
-	// travel mode, an RSSI outside int16).
-	ErrWireValue = errors.New("server: invalid binary frame value")
-)
-
-// wireReader is a bounds-checked cursor over one binary request frame —
-// the frameReader idiom with typed errors, since wire decode failures are
-// client-visible (400) and tested for identity.
-type wireReader struct {
-	data []byte
-	off  int
-}
-
-func (r *wireReader) take(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.data) || r.off+n < 0 {
-		return nil, fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrWireTruncated, n, r.off, len(r.data))
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *wireReader) u8() (byte, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *wireReader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *wireReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *wireReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-// wireHeader parses and checks the three-field frame header, returning the
-// payload cursor.
-func wireHeader(data []byte, wantKind byte) (*wireReader, error) {
-	r := &wireReader{data: data}
-	ver, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if ver != wireVersion {
-		return nil, fmt.Errorf("%w: got version %d, speak %d", ErrWireVersion, ver, wireVersion)
-	}
-	kind, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if kind != wantKind {
-		return nil, fmt.Errorf("%w: got kind %d, endpoint takes %d", ErrWireKind, kind, wantKind)
-	}
-	plen, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	rest := len(data) - r.off
-	if int64(plen) > int64(rest) {
-		return nil, fmt.Errorf("%w: header declares %d payload bytes, %d present", ErrWireTruncated, plen, rest)
-	}
-	if int(plen) < rest {
-		return nil, fmt.Errorf("%w: header declares %d payload bytes, %d present", ErrWireOversized, plen, rest)
-	}
-	return r, nil
-}
-
 // wireMode maps a mode byte to the wire (JSON) mode string; 0 is the
 // unset mode and stays "".
 func wireMode(b byte) (string, error) {
@@ -171,7 +73,7 @@ func wireMode(b byte) (string, error) {
 			return m.String(), nil
 		}
 	}
-	return "", fmt.Errorf("%w: unknown travel mode byte %d", ErrWireValue, b)
+	return "", fmt.Errorf("%w: unknown travel mode byte %d", binfmt.ErrValue, b)
 }
 
 // wireModeByte is wireMode's inverse for the encoder.
@@ -186,122 +88,61 @@ func wireModeByte(mode string) (byte, error) {
 	return byte(m), nil
 }
 
-// wirePoints parses n points and their scans off the cursor.
-func wirePoints(r *wireReader, n uint32) ([]uploadPoint, error) {
-	if int64(n)*wirePointSize > int64(len(r.data)-r.off) {
-		return nil, fmt.Errorf("%w: claims %d points in %d payload bytes", ErrWireOversized, n, len(r.data)-r.off)
-	}
-	pts := make([]uploadPoint, n)
+// wirePoints reads a point count, the points and their scans off r.
+func wirePoints(r *binfmt.Reader) []uploadPoint {
+	pts := make([]uploadPoint, r.Count(wirePointSize))
 	for i := range pts {
-		lat, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		lon, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		ms, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		pts[i].Lat = math.Float64frombits(lat)
-		pts[i].Lon = math.Float64frombits(lon)
-		pts[i].Time = int64(ms)
+		pts[i].Lat = r.F64()
+		pts[i].Lon = r.F64()
+		pts[i].Time = int64(r.U64())
 	}
 	for i := range pts {
-		nObs, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		if nObs == 0 {
-			continue // nil scan, as JSON's absent "scan" field decodes
-		}
-		scan := make([]wifi.Observation, 0, nObs)
-		for j := 0; j < int(nObs); j++ {
-			macLen, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			mac, err := r.take(int(macLen))
-			if err != nil {
-				return nil, err
-			}
-			rssi, err := r.u16()
-			if err != nil {
-				return nil, err
-			}
-			scan = append(scan, wifi.Observation{MAC: string(mac), RSSI: int(int16(rssi))})
-		}
-		pts[i].Scan = scan
+		// An empty scan stays nil, as JSON's absent "scan" field decodes.
+		pts[i].Scan = wifi.ReadScan(r)
 	}
-	return pts, nil
+	return pts
 }
 
-// appendWirePoints encodes points and scans onto buf — the encoder wirePoints
-// inverts.
+// appendWirePoints encodes the point count, points and scans onto buf —
+// the encoder wirePoints inverts.
 func appendWirePoints(buf []byte, pts []uploadPoint) ([]byte, error) {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pts)))
 	for _, p := range pts {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Lat))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Lon))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Time))
 	}
+	var err error
 	for i, p := range pts {
-		if len(p.Scan) > math.MaxUint16 {
-			return nil, fmt.Errorf("%w: point %d scan has %d observations", ErrWireValue, i, len(p.Scan))
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.Scan)))
-		for _, obs := range p.Scan {
-			if len(obs.MAC) > math.MaxUint8 {
-				return nil, fmt.Errorf("%w: MAC %q longer than 255 bytes", ErrWireValue, obs.MAC)
-			}
-			if obs.RSSI < math.MinInt16 || obs.RSSI > math.MaxInt16 {
-				return nil, fmt.Errorf("%w: RSSI %d outside int16", ErrWireValue, obs.RSSI)
-			}
-			buf = append(buf, byte(len(obs.MAC)))
-			buf = append(buf, obs.MAC...)
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(obs.RSSI)))
+		if buf, err = wifi.AppendScan(buf, p.Scan); err != nil {
+			return nil, fmt.Errorf("point %d: %w", i, err)
 		}
 	}
 	return buf, nil
-}
-
-// finishWireFrame stamps the payload length into the header slot reserved
-// by the encoders.
-func finishWireFrame(buf []byte) []byte {
-	binary.LittleEndian.PutUint32(buf[2:6], uint32(len(buf)-6))
-	return buf
 }
 
 // EncodeUploadBinary renders an upload request as a binary frame for
 // Content-Type ContentTypeBinary. It is the exact inverse of
 // ParseUploadBinary on every frame the parser accepts.
 func EncodeUploadBinary(req *UploadRequest) ([]byte, error) {
-	if len(req.ID) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: id of %d bytes", ErrWireValue, len(req.ID))
+	buf := binfmt.NewFrame(wireVersion, wireKindUpload, 2+len(req.ID)+1+4+len(req.Points)*wirePointSize)
+	buf, err := binfmt.AppendStr16(buf, req.ID)
+	if err != nil {
+		return nil, fmt.Errorf("id: %w", err)
 	}
 	mode, err := wireModeByte(req.Mode)
 	if err != nil {
 		return nil, err
 	}
-	if len(req.Contributor) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: contributor of %d bytes", ErrWireValue, len(req.Contributor))
-	}
-	buf := make([]byte, 6, 6+2+len(req.ID)+1+4+len(req.Points)*wirePointSize)
-	buf[0], buf[1] = wireVersion, wireKindUpload
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(req.ID)))
-	buf = append(buf, req.ID...)
-	buf = append(buf, mode)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(req.Points)))
-	buf, err = appendWirePoints(buf, req.Points)
-	if err != nil {
+	if buf, err = appendWirePoints(append(buf, mode), req.Points); err != nil {
 		return nil, err
 	}
 	if req.Contributor != "" {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(req.Contributor)))
-		buf = append(buf, req.Contributor...)
+		if buf, err = binfmt.AppendStr16(buf, req.Contributor); err != nil {
+			return nil, fmt.Errorf("contributor: %w", err)
+		}
 	}
-	return finishWireFrame(buf), nil
+	return binfmt.FinishFrame(buf), nil
 }
 
 // ParseUploadBinary parses a binary upload frame into the same
@@ -309,106 +150,54 @@ func EncodeUploadBinary(req *UploadRequest) ([]byte, error) {
 // ranges, point-count limits) stays with Service.decode, shared by both
 // wire forms.
 func ParseUploadBinary(data []byte) (*UploadRequest, error) {
-	r, err := wireHeader(data, wireKindUpload)
+	_, r, err := binfmt.Header(data, wireVersion, wireKindUpload)
 	if err != nil {
 		return nil, err
 	}
-	idLen, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	id, err := r.take(int(idLen))
-	if err != nil {
-		return nil, err
-	}
-	modeByte, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	mode, err := wireMode(modeByte)
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	pts, err := wirePoints(r, n)
-	if err != nil {
-		return nil, err
-	}
-	var contributor string
-	if r.off != len(data) {
-		cLen, err := r.u16()
-		if err != nil {
-			return nil, err
+	req := &UploadRequest{ID: r.Str16()}
+	req.Mode, err = wireMode(r.U8())
+	r.Fail(err)
+	req.Points = wirePoints(r)
+	if r.Len() > 0 {
+		// An empty contributor must be encoded by omission, else two
+		// frames would decode to the same request and canonicity breaks.
+		if req.Contributor = r.Str16(); req.Contributor == "" {
+			r.Fail(fmt.Errorf("%w: empty contributor block", binfmt.ErrValue))
 		}
-		c, err := r.take(int(cLen))
-		if err != nil {
-			return nil, err
-		}
-		if len(c) == 0 {
-			// An empty contributor must be encoded by omission, else two
-			// frames would decode to the same request and canonicity breaks.
-			return nil, fmt.Errorf("%w: empty contributor block", ErrWireValue)
-		}
-		contributor = string(c)
 	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWireOversized, len(data)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
-	return &UploadRequest{ID: string(id), Mode: mode, Points: pts, Contributor: contributor}, nil
+	return req, nil
 }
 
 // EncodeSessionAppendBinary renders a session append as a binary frame.
 func EncodeSessionAppendBinary(req *SessionAppendRequest) ([]byte, error) {
-	if len(req.SessionID) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: session id of %d bytes", ErrWireValue, len(req.SessionID))
-	}
 	if req.Seq < 0 || int64(req.Seq) > math.MaxUint32 {
-		return nil, fmt.Errorf("%w: seq %d outside uint32", ErrWireValue, req.Seq)
+		return nil, fmt.Errorf("%w: seq %d outside uint32", binfmt.ErrValue, req.Seq)
 	}
-	buf := make([]byte, 6, 6+2+len(req.SessionID)+8+len(req.Points)*wirePointSize)
-	buf[0], buf[1] = wireVersion, wireKindSessionAppend
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(req.SessionID)))
-	buf = append(buf, req.SessionID...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(req.Seq))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(req.Points)))
-	buf, err := appendWirePoints(buf, req.Points)
+	buf := binfmt.NewFrame(wireVersion, wireKindSessionAppend, 2+len(req.SessionID)+8+len(req.Points)*wirePointSize)
+	buf, err := binfmt.AppendStr16(buf, req.SessionID)
 	if err != nil {
+		return nil, fmt.Errorf("session id: %w", err)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(req.Seq))
+	if buf, err = appendWirePoints(buf, req.Points); err != nil {
 		return nil, err
 	}
-	return finishWireFrame(buf), nil
+	return binfmt.FinishFrame(buf), nil
 }
 
 // ParseSessionAppendBinary parses a binary session-append frame.
 func ParseSessionAppendBinary(data []byte) (*SessionAppendRequest, error) {
-	r, err := wireHeader(data, wireKindSessionAppend)
+	_, r, err := binfmt.Header(data, wireVersion, wireKindSessionAppend)
 	if err != nil {
 		return nil, err
 	}
-	idLen, err := r.u16()
-	if err != nil {
+	req := &SessionAppendRequest{SessionID: r.Str16(), Seq: int(r.U32())}
+	req.Points = wirePoints(r)
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	id, err := r.take(int(idLen))
-	if err != nil {
-		return nil, err
-	}
-	seq, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	pts, err := wirePoints(r, n)
-	if err != nil {
-		return nil, err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWireOversized, len(data)-r.off)
-	}
-	return &SessionAppendRequest{SessionID: string(id), Seq: int(seq), Points: pts}, nil
+	return req, nil
 }

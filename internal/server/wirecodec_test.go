@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"testing"
 
+	"trajforge/internal/binfmt"
 	"trajforge/internal/detect"
 	"trajforge/internal/geo"
 	"trajforge/internal/rssimap"
@@ -113,33 +114,33 @@ func TestBinaryTypedErrors(t *testing.T) {
 		if err == nil {
 			t.Fatalf("prefix of %d bytes parsed cleanly", n)
 		}
-		if !errors.Is(err, ErrWireTruncated) && !errors.Is(err, ErrWireOversized) {
+		if !errors.Is(err, binfmt.ErrTruncated) && !errors.Is(err, binfmt.ErrOversized) {
 			t.Fatalf("prefix of %d bytes: untyped error %v", n, err)
 		}
 	}
 
 	bad := append([]byte(nil), frame...)
 	bad[0] = 9
-	if _, err := ParseUploadBinary(bad); !errors.Is(err, ErrWireVersion) {
+	if _, err := ParseUploadBinary(bad); !errors.Is(err, binfmt.ErrVersion) {
 		t.Fatalf("version 9: %v", err)
 	}
 
 	bad = append([]byte(nil), frame...)
 	bad[1] = wireKindSessionAppend
-	if _, err := ParseUploadBinary(bad); !errors.Is(err, ErrWireKind) {
+	if _, err := ParseUploadBinary(bad); !errors.Is(err, binfmt.ErrKind) {
 		t.Fatalf("wrong kind: %v", err)
 	}
-	if _, err := ParseSessionAppendBinary(frame); !errors.Is(err, ErrWireKind) {
+	if _, err := ParseSessionAppendBinary(frame); !errors.Is(err, binfmt.ErrKind) {
 		t.Fatalf("upload frame on append endpoint: %v", err)
 	}
 
-	if _, err := ParseUploadBinary(append(append([]byte(nil), frame...), 0)); !errors.Is(err, ErrWireOversized) {
+	if _, err := ParseUploadBinary(append(append([]byte(nil), frame...), 0)); !errors.Is(err, binfmt.ErrOversized) {
 		t.Fatalf("trailing byte: %v", err)
 	}
 
 	bad = append([]byte(nil), frame...)
 	bad[6+2+len("traj-42")] = 7 // mode byte
-	if _, err := ParseUploadBinary(bad); !errors.Is(err, ErrWireValue) {
+	if _, err := ParseUploadBinary(bad); !errors.Is(err, binfmt.ErrValue) {
 		t.Fatalf("unknown mode byte: %v", err)
 	}
 
@@ -150,8 +151,8 @@ func TestBinaryTypedErrors(t *testing.T) {
 	huge[6], huge[7] = 0, 0 // id len 0
 	huge[8] = 0             // mode
 	huge[9], huge[10], huge[11], huge[12] = 0xff, 0xff, 0xff, 0xff
-	finishWireFrame(huge)
-	if _, err := ParseUploadBinary(huge); !errors.Is(err, ErrWireOversized) {
+	binfmt.FinishFrame(huge)
+	if _, err := ParseUploadBinary(huge); !errors.Is(err, binfmt.ErrOversized) {
 		t.Fatalf("4G points claim: %v", err)
 	}
 }

@@ -12,11 +12,13 @@
 package wifi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 
+	"trajforge/internal/binfmt"
 	"trajforge/internal/geo"
 	"trajforge/internal/stats"
 	"trajforge/internal/trajectory"
@@ -64,6 +66,58 @@ func (s Scan) TopK(k int) Scan {
 
 // Clone returns a deep copy of the scan.
 func (s Scan) Clone() Scan { return append(Scan(nil), s...) }
+
+// Every binary codec that carries scans (upload wire, WAL payloads,
+// shard RPC) lays one out the same way, little endian:
+//
+//	u16 n | n × { u8 len(mac) | mac | i16 rssi }
+
+// CheckFrame reports binfmt.ErrValue if s cannot be written in the frame
+// layout: more than 65,535 observations, a MAC over 255 bytes, or an RSSI
+// outside int16.
+func (s Scan) CheckFrame() error {
+	if len(s) > math.MaxUint16 {
+		return fmt.Errorf("%w: scan of %d observations", binfmt.ErrValue, len(s))
+	}
+	for _, o := range s {
+		if err := binfmt.CheckStr8(o.MAC); err != nil {
+			return fmt.Errorf("MAC: %w", err)
+		}
+		if err := binfmt.CheckI16(o.RSSI); err != nil {
+			return fmt.Errorf("RSSI: %w", err)
+		}
+	}
+	return nil
+}
+
+// AppendScan appends s in the frame layout; it refuses a scan CheckFrame
+// refuses.
+func AppendScan(buf []byte, s Scan) ([]byte, error) {
+	if err := s.CheckFrame(); err != nil {
+		return nil, err
+	}
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
+	for _, o := range s {
+		buf = append(append(buf, byte(len(o.MAC))), o.MAC...)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(o.RSSI)))
+	}
+	return buf, nil
+}
+
+// ReadScan reads one scan in the frame layout; an empty scan reads as nil.
+// Failures stay on r.
+func ReadScan(r *binfmt.Reader) Scan {
+	n := int(r.U16())
+	if n == 0 {
+		return nil
+	}
+	s := make(Scan, 0, n)
+	for i := 0; i < n; i++ {
+		mac := r.Str8()
+		s = append(s, Observation{MAC: mac, RSSI: int(int16(r.U16()))})
+	}
+	return s
+}
 
 // Config describes a simulated area.
 type Config struct {
